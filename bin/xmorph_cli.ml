@@ -15,20 +15,27 @@ let read_file path =
   close_in ic;
   s
 
+let doc_of_text text =
+  try Ok (Xml.Doc.of_string text) with
+  | Xml.Parser.Error _ as e -> Error (Option.get (Xml.Parser.error_message e))
+
 let load_doc path =
-  try Ok (Xml.Doc.of_string (read_file path)) with
-  | Sys_error m -> Error m
-  | Xml.Parser.Error _ as e ->
-      Error (Option.get (Xml.Parser.error_message e))
+  match read_file path with
+  | exception Sys_error m -> Error m
+  | text -> doc_of_text text
 
 let load_store input =
-  (* Accept either a saved store (made by [xmorph shred]) or raw XML. *)
-  match Store.Shredded.load input with
-  | store -> Ok store
-  | exception _ -> (
-      match load_doc input with
-      | Ok doc -> Ok (Store.Shredded.shred doc)
-      | Error m -> Error m)
+  (* Accept either a saved store (made by [xmorph shred]) or raw XML, told
+     apart by the store magic; the file is read once either way.  Array
+     size mismatches in a damaged store surface as Invalid_argument or
+     Failure, so those are corruption too. *)
+  match read_file input with
+  | exception Sys_error m -> Error m
+  | data when Store.Shredded.is_store data -> (
+      try Ok (Store.Shredded.of_string data) with
+      | Store.Codec.Corrupt reason | Invalid_argument reason | Failure reason ->
+          Error (Printf.sprintf "corrupt store %s: %s" input reason))
+  | text -> Result.map Store.Shredded.shred (doc_of_text text)
 
 let exit_err m =
   Printf.eprintf "xmorph: %s\n" m;

@@ -1,25 +1,24 @@
 exception Corrupt of string
 
 (* Emit an int's bit pattern as an unsigned base-128 varint; [lsr] makes the
-   loop terminate for negative patterns too. *)
-let add_varint b n =
-  let rec go n =
-    if n land lnot 0x7F = 0 then Buffer.add_char b (Char.chr n)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (n land 0x7F)));
-      go (n lsr 7)
-    end
-  in
-  go n
+   loop terminate for negative patterns too.  Top-level recursion, not a
+   local closure over [b]: this runs once per field of every record. *)
+let rec add_varint b n =
+  if n land lnot 0x7F = 0 then Buffer.add_char b (Char.chr n)
+  else begin
+    Buffer.add_char b (Char.chr (0x80 lor (n land 0x7F)));
+    add_varint b (n lsr 7)
+  end
 
 let add_uint b n =
   assert (n >= 0);
   add_varint b n
 
-let add_int b n =
-  (* Zig-zag: map ..., -2, -1, 0, 1, ... to 3, 1, 0, 2, ...; the result is
-     interpreted as a bit pattern, so extremes survive the shift. *)
-  add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+(* Zig-zag: map ..., -2, -1, 0, 1, ... to 3, 1, 0, 2, ...; the result is
+   interpreted as a bit pattern, so extremes survive the shift. *)
+let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+
+let add_int b n = add_varint b (zigzag n)
 
 let add_string b s =
   add_uint b (String.length s);
@@ -27,7 +26,26 @@ let add_string b s =
 
 let add_int_array b a =
   add_uint b (Array.length a);
-  Array.iter (add_int b) a
+  for i = 0 to Array.length a - 1 do
+    add_int b a.(i)
+  done
+
+(* Bytes [add_varint] writes: one per started 7-bit group. *)
+let rec varint_size n =
+  if n land lnot 0x7F = 0 then 1 else 1 + varint_size (n lsr 7)
+
+let uint_size n =
+  assert (n >= 0);
+  varint_size n
+
+let int_size n = varint_size (zigzag n)
+
+let int_array_size a =
+  let size = ref (uint_size (Array.length a)) in
+  for i = 0 to Array.length a - 1 do
+    size := !size + int_size a.(i)
+  done;
+  !size
 
 type cursor = { data : string; mutable pos : int }
 
@@ -39,14 +57,13 @@ let read_byte c =
   c.pos <- c.pos + 1;
   v
 
-let read_uint c =
-  let rec go shift acc =
-    if shift >= Sys.int_size then raise (Corrupt "varint too long");
-    let byte = read_byte c in
-    let acc = acc lor ((byte land 0x7F) lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+let rec read_varint c shift acc =
+  if shift >= Sys.int_size then raise (Corrupt "varint too long");
+  let byte = read_byte c in
+  let acc = acc lor ((byte land 0x7F) lsl shift) in
+  if byte land 0x80 = 0 then acc else read_varint c (shift + 7) acc
+
+let read_uint c = read_varint c 0 0
 
 let read_int c =
   let z = read_uint c in

@@ -15,6 +15,16 @@ val add_int : Buffer.t -> int -> unit
 val add_string : Buffer.t -> string -> unit
 val add_int_array : Buffer.t -> int array -> unit
 
+val uint_size : int -> int
+(** Bytes {!add_uint} writes for the same argument, computed without
+    writing them. *)
+
+val int_size : int -> int
+(** Bytes {!add_int} writes. *)
+
+val int_array_size : int array -> int
+(** Bytes {!add_int_array} writes. *)
+
 type cursor = { data : string; mutable pos : int }
 
 val cursor : ?pos:int -> string -> cursor

@@ -69,10 +69,9 @@ let decode_record blob off id =
 let column_bytes cols =
   Array.map
     (fun col ->
-      let b = Buffer.create 64 in
-      Codec.add_uint b (Array.length col);
-      Array.iter (Codec.add_int_array b) col;
-      Buffer.length b)
+      Array.fold_left
+        (fun size d -> size + Codec.int_array_size d)
+        (Codec.uint_size (Array.length col)) col)
     cols
 
 (* Rebuild the Dewey columns from the node blob (legacy stores have no
@@ -96,14 +95,7 @@ let shred doc =
   let tt = Xml.Doc.types doc in
   let ntypes = Xml.Type_table.count tt in
   let seqs = Array.init ntypes (fun ty -> Xml.Doc.nodes_of_type doc ty) in
-  let seq_bytes =
-    Array.map
-      (fun seq ->
-        let sb = Buffer.create 64 in
-        Codec.add_int_array sb seq;
-        Buffer.length sb)
-      seqs
-  in
+  let seq_bytes = Array.map Codec.int_array_size seqs in
   let dewey_cols =
     Array.map (Array.map (fun id -> (Xml.Doc.node doc id).Xml.Doc.dewey)) seqs
   in
@@ -259,20 +251,19 @@ let save ?(version = 2) t path =
   Buffer.output_buffer oc b;
   close_out oc
 
-let load path =
+let version_of data =
+  if String.starts_with ~prefix:magic data then Some 2
+  else if String.starts_with ~prefix:magic_v1 data then Some 1
+  else None
+
+let is_store data = Option.is_some (version_of data)
+
+let of_string data =
   Xmobs.Obs.phase "store.load" @@ fun () ->
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let data = really_input_string ic n in
-  close_in ic;
   let version =
-    if String.length data < String.length magic then
-      raise (Codec.Corrupt "bad magic")
-    else
-      match String.sub data 0 (String.length magic) with
-      | m when m = magic -> 2
-      | m when m = magic_v1 -> 1
-      | _ -> raise (Codec.Corrupt "bad magic")
+    match version_of data with
+    | Some v -> v
+    | None -> raise (Codec.Corrupt "bad magic")
   in
   let c = Codec.cursor ~pos:(String.length magic) data in
   let tt = Xml.Type_table.create () in
@@ -293,14 +284,7 @@ let load path =
   done;
   let guide = Xml.Dataguide.make ~types:tt ~roots ~cards ~counts in
   let seqs = Array.init ntypes (fun _ -> Codec.read_int_array c) in
-  let seq_bytes =
-    Array.map
-      (fun seq ->
-        let sb = Buffer.create 64 in
-        Codec.add_int_array sb seq;
-        Buffer.length sb)
-      seqs
-  in
+  let seq_bytes = Array.map Codec.int_array_size seqs in
   let dewey_cols =
     if version >= 2 then
       Array.init ntypes (fun _ ->
@@ -327,3 +311,10 @@ let load path =
     dewey_col_bytes = column_bytes dewey_cols; guide;
     stats = Io_stats.create (); groups = Hashtbl.create 16;
     lock = Mutex.create (); generation = next_generation () }
+
+let load path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let data = really_input_string ic n in
+  close_in ic;
+  of_string data

@@ -104,3 +104,11 @@ val load : string -> t
 (** Read a store back; both format versions load (a version-1 file has its
     Dewey columns rebuilt from the node blob).
     @raise Codec.Corrupt on malformed files. *)
+
+val is_store : string -> bool
+(** Whether file contents begin with a store magic (either version): the
+    test that tells a saved store from an XML document. *)
+
+val of_string : string -> t
+(** {!load} from file contents already read.
+    @raise Codec.Corrupt on malformed contents. *)

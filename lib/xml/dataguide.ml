@@ -18,26 +18,31 @@ let of_doc doc =
   let types = Doc.types doc in
   let n_types = Type_table.count types in
   let counts = Array.make n_types 0 in
-  let acc : Card.t option array = Array.make n_types None in
-  let tally = Hashtbl.create 16 in
+  let kids = Array.init n_types (fun ty -> Array.of_list (Type_table.children types ty)) in
+  (* [tally.(u)]: children of type [u] under the current node (reset after
+     each node); [lo.(u)]/[hi.(u)]: the least and greatest tally over all
+     nodes of [u]'s parent type ([hi.(u)] < 0 until one is seen). *)
+  let tally = Array.make n_types 0 in
+  let lo = Array.make n_types max_int and hi = Array.make n_types (-1) in
   for i = 0 to Doc.node_count doc - 1 do
     let node = Doc.node doc i in
     counts.(node.type_id) <- counts.(node.type_id) + 1;
-    Hashtbl.reset tally;
-    Array.iter
-      (fun ci ->
-        let cty = (Doc.node doc ci).type_id in
-        let c = Option.value ~default:0 (Hashtbl.find_opt tally cty) in
-        Hashtbl.replace tally cty (c + 1))
-      node.children;
-    List.iter
-      (fun cty ->
-        let c = Option.value ~default:0 (Hashtbl.find_opt tally cty) in
-        acc.(cty) <- Card.observe acc.(cty) c)
-      (Type_table.children types node.type_id)
+    let children = node.children in
+    for k = 0 to Array.length children - 1 do
+      let cty = (Doc.node doc children.(k)).type_id in
+      tally.(cty) <- tally.(cty) + 1
+    done;
+    let ktys = kids.(node.type_id) in
+    for k = 0 to Array.length ktys - 1 do
+      let cty = ktys.(k) in
+      let c = tally.(cty) in
+      if c < lo.(cty) then lo.(cty) <- c;
+      if c > hi.(cty) then hi.(cty) <- c;
+      tally.(cty) <- 0
+    done
   done;
   let cards =
-    Array.mapi (fun _ty o -> match o with None -> Card.one | Some c -> c) acc
+    Array.init n_types (fun ty -> if hi.(ty) < 0 then Card.one else Card.v lo.(ty) hi.(ty))
   in
   let roots =
     List.sort_uniq compare

@@ -21,58 +21,68 @@ type t = {
   tdist_cache : (int * int, int) Hashtbl.t;
 }
 
+(* An element's direct text content; a lone text child is shared, not
+   copied. *)
+let text_value children =
+  match
+    List.filter_map
+      (function Tree.Text s -> Some s | Tree.Element _ -> None)
+      children
+  with
+  | [ s ] -> s
+  | texts -> String.concat "" texts
+
+let rec element_count = function
+  | [] -> 0
+  | Tree.Element _ :: rest -> 1 + element_count rest
+  | Tree.Text _ :: rest -> element_count rest
+
+(* Ids are preorder ranks, so a node's id is known before it is pushed and
+   its [children] array is filled in place after.  The walk is top-level
+   recursion over explicit arguments, so that no closure is allocated per
+   element. *)
+let rec index_element types nodes parent_id parent_ty dewey = function
+  | Tree.Text _ -> assert false
+  | Tree.Element { name; attrs; children } ->
+      let ty = Type_table.intern types ~parent:parent_ty name in
+      let id = Vec.length nodes in
+      let kids = Array.make (List.length attrs + element_count children) 0 in
+      ignore
+        (Vec.push nodes
+           { id; dewey; kind = Element; name; type_id = ty; parent = parent_id;
+             children = kids; value = text_value children });
+      let self_ty = Some ty in
+      let k = index_attrs types nodes id self_ty dewey kids 0 attrs in
+      index_children types nodes id self_ty dewey kids k children;
+      id
+
+and index_attrs types nodes id self_ty dewey kids k = function
+  | [] -> k
+  | (aname, avalue) :: rest ->
+      let aty = Type_table.intern types ~parent:self_ty ("@" ^ aname) in
+      let aid = Vec.length nodes in
+      kids.(k) <- aid;
+      ignore
+        (Vec.push nodes
+           { id = aid; dewey = Dewey.child dewey (k + 1); kind = Attribute;
+             name = aname; type_id = aty; parent = id; children = [||];
+             value = avalue });
+      index_attrs types nodes id self_ty dewey kids (k + 1) rest
+
+and index_children types nodes id self_ty dewey kids k = function
+  | [] -> ()
+  | Tree.Text _ :: rest -> index_children types nodes id self_ty dewey kids k rest
+  | (Tree.Element _ as child) :: rest ->
+      kids.(k) <-
+        index_element types nodes id self_ty (Dewey.child dewey (k + 1)) child;
+      index_children types nodes id self_ty dewey kids (k + 1) rest
+
 let of_forest trees =
   let types = Type_table.create () in
   let nodes : node Vec.t = Vec.create ~capacity:1024 () in
-  let rec index_element parent_id parent_ty dewey el =
-    match el with
-    | Tree.Text _ -> assert false
-    | Tree.Element { name; attrs; children } ->
-        let ty = Type_table.intern types ~parent:parent_ty name in
-        let value =
-          let b = Buffer.create 8 in
-          List.iter
-            (function Tree.Text s -> Buffer.add_string b s | Tree.Element _ -> ())
-            children;
-          Buffer.contents b
-        in
-        let id =
-          Vec.push nodes
-            { id = 0; dewey; kind = Element; name; type_id = ty;
-              parent = parent_id; children = [||]; value }
-        in
-        let kid_ids = ref [] in
-        let next = ref 0 in
-        List.iter
-          (fun (aname, avalue) ->
-            incr next;
-            let aty = Type_table.intern types ~parent:(Some ty) ("@" ^ aname) in
-            let aid =
-              Vec.push nodes
-                { id = 0; dewey = Dewey.child dewey !next; kind = Attribute;
-                  name = aname; type_id = aty; parent = id; children = [||];
-                  value = avalue }
-            in
-            let a = Vec.get nodes aid in
-            Vec.set nodes aid { a with id = aid };
-            kid_ids := aid :: !kid_ids)
-          attrs;
-        List.iter
-          (function
-            | Tree.Text _ -> ()
-            | Tree.Element _ as child ->
-                incr next;
-                let cid = index_element id (Some ty) (Dewey.child dewey !next) child in
-                kid_ids := cid :: !kid_ids)
-          children;
-        let n = Vec.get nodes id in
-        Vec.set nodes id
-          { n with id; children = Array.of_list (List.rev !kid_ids) };
-        id
-  in
   let roots =
     List.mapi
-      (fun i tree -> index_element (-1) None [| i + 1 |] tree)
+      (fun i tree -> index_element types nodes (-1) None [| i + 1 |] tree)
       trees
   in
   let nodes = Vec.to_array nodes in

@@ -1,11 +1,15 @@
 exception Error of { line : int; col : int; msg : string }
 
-type state = { src : string; len : int; mutable pos : int }
+(* [buf] is one scratch buffer for the whole parse: character data of the
+   element being read, or an attribute value that needs decoding.  It is
+   empty whenever an element starts: text is flushed before a child or a
+   close tag, and an attribute value is taken out of it at once. *)
+type state = { src : string; len : int; mutable pos : int; buf : Buffer.t }
 
 let position st =
   (* Recompute line/col lazily: only on error paths. *)
   let line = ref 1 and col = ref 1 in
-  for i = 0 to min st.pos (st.len - 1) - 1 do
+  for i = 0 to min st.pos st.len - 1 do
     if st.src.[i] = '\n' then (incr line; col := 1) else incr col
   done;
   (!line, !col)
@@ -22,13 +26,30 @@ let peek2 st = if st.pos + 1 >= st.len then '\000' else st.src.[st.pos + 1]
 
 let advance st = st.pos <- st.pos + 1
 
-let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= st.len && String.sub st.src st.pos n = s
+let rec same_from src i s k =
+  k >= String.length s || (src.[i + k] = s.[k] && same_from src i s (k + 1))
+
+(* Whether [s] occurs in the source at [i]; compared in place. *)
+let occurs_at st i s = i + String.length s <= st.len && same_from st.src i s 0
+
+let looking_at st s = occurs_at st st.pos s
 
 let expect st s =
   if looking_at st s then st.pos <- st.pos + String.length s
   else fail st (Printf.sprintf "expected %S" s)
+
+(* Move to just past the next [stop] (whose first character is [c]), or
+   fail with [msg] at end of input. *)
+let skip_past st c stop msg =
+  let rec go i =
+    match String.index_from_opt st.src i c with
+    | Some j when occurs_at st j stop -> j
+    | Some j -> go (j + 1)
+    | None -> st.pos <- st.len; fail st msg
+  in
+  let j = go st.pos in
+  st.pos <- j + String.length stop;
+  j
 
 let is_space = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 
@@ -44,16 +65,23 @@ let is_name_start = function
 let is_name_char c =
   is_name_start c || (match c with '0' .. '9' | '-' | '.' -> true | _ -> false)
 
-let parse_name st =
+(* Move past a name and return where it started. *)
+let scan_name st =
   if not (is_name_start (peek st)) then fail st "expected a name";
   let start = st.pos in
   while (not (eof st)) && is_name_char (peek st) do
     advance st
   done;
+  start
+
+let parse_name st =
+  let start = scan_name st in
   String.sub st.src start (st.pos - start)
 
-(* Decode one entity or character reference; [st.pos] is at ['&']. *)
-let parse_reference st b =
+(* Decode one entity or character reference into [st.buf]; [st.pos] is at
+   ['&']. *)
+let parse_reference st =
+  let b = st.buf in
   advance st;
   if peek st = '#' then begin
     advance st;
@@ -96,50 +124,72 @@ let parse_reference st b =
     end
   end
   else begin
-    let name = parse_name st in
+    let start = scan_name st in
+    let stop = st.pos in
     expect st ";";
-    match name with
-    | "lt" -> Buffer.add_char b '<'
-    | "gt" -> Buffer.add_char b '>'
-    | "amp" -> Buffer.add_char b '&'
-    | "apos" -> Buffer.add_char b '\''
-    | "quot" -> Buffer.add_char b '"'
-    | other -> fail st (Printf.sprintf "unknown entity &%s;" other)
+    let is s = stop - start = String.length s && occurs_at st start s in
+    if is "lt" then Buffer.add_char b '<'
+    else if is "gt" then Buffer.add_char b '>'
+    else if is "amp" then Buffer.add_char b '&'
+    else if is "apos" then Buffer.add_char b '\''
+    else if is "quot" then Buffer.add_char b '"'
+    else
+      fail st
+        (Printf.sprintf "unknown entity &%s;" (String.sub st.src start (stop - start)))
+  end
+
+(* Move past a run of characters none of which is [a], [b] or [c]. *)
+let scan_run st a b c =
+  let src = st.src and len = st.len in
+  let i = ref st.pos in
+  while
+    !i < len
+    &&
+    let ch = String.unsafe_get src !i in
+    ch <> a && ch <> b && ch <> c
+  do
+    incr i
+  done;
+  st.pos <- !i
+
+(* The rest of an attribute value opened by [quote]; [st.buf] holds what is
+   decoded so far. *)
+let rec attr_value_rest st quote =
+  let start = st.pos in
+  scan_run st quote '&' '<';
+  if eof st then fail st "unterminated attribute value";
+  let c = peek st in
+  let b = st.buf in
+  if c = quote && Buffer.length b = 0 then begin
+    (* No reference in the value: one copy straight from the source. *)
+    advance st;
+    String.sub st.src start (st.pos - 1 - start)
+  end
+  else begin
+    Buffer.add_substring b st.src start (st.pos - start);
+    if c = quote then begin
+      advance st;
+      let v = Buffer.contents b in
+      Buffer.clear b;
+      v
+    end
+    else if c = '&' then (parse_reference st; attr_value_rest st quote)
+    else fail st "'<' in attribute value"
   end
 
 let parse_attr_value st =
   let quote = peek st in
   if quote <> '"' && quote <> '\'' then fail st "expected quoted attribute value";
   advance st;
-  let b = Buffer.create 16 in
-  let rec go () =
-    if eof st then fail st "unterminated attribute value";
-    let c = peek st in
-    if c = quote then advance st
-    else if c = '&' then (parse_reference st b; go ())
-    else if c = '<' then fail st "'<' in attribute value"
-    else (Buffer.add_char b c; advance st; go ())
-  in
-  go ();
-  Buffer.contents b
+  attr_value_rest st quote
 
 let skip_comment st =
-  expect st "<!--";
-  let rec go () =
-    if eof st then fail st "unterminated comment"
-    else if looking_at st "-->" then st.pos <- st.pos + 3
-    else (advance st; go ())
-  in
-  go ()
+  st.pos <- st.pos + 4;
+  ignore (skip_past st '-' "-->" "unterminated comment")
 
 let skip_pi st =
-  expect st "<?";
-  let rec go () =
-    if eof st then fail st "unterminated processing instruction"
-    else if looking_at st "?>" then st.pos <- st.pos + 2
-    else (advance st; go ())
-  in
-  go ()
+  st.pos <- st.pos + 2;
+  ignore (skip_past st '?' "?>" "unterminated processing instruction")
 
 let skip_doctype st =
   expect st "<!DOCTYPE";
@@ -159,86 +209,103 @@ let skip_doctype st =
   in
   go ()
 
-let parse_cdata st b =
-  expect st "<![CDATA[";
-  let rec go () =
-    if eof st then fail st "unterminated CDATA section"
-    else if looking_at st "]]>" then st.pos <- st.pos + 3
-    else (Buffer.add_char b (peek st); advance st; go ())
-  in
-  go ()
+let parse_cdata st =
+  st.pos <- st.pos + 9;
+  let start = st.pos in
+  let stop = skip_past st ']' "]]>" "unterminated CDATA section" in
+  Buffer.add_substring st.buf st.src start (stop - start)
 
-let is_blank s =
-  let n = String.length s in
-  let rec go i = i >= n || (is_space s.[i] && go (i + 1)) in
-  go 0
+let rec blank_from b i =
+  i >= Buffer.length b || (is_space (Buffer.nth b i) && blank_from b (i + 1))
 
+(* The character data read since the last child or close tag, as a text
+   item unless it is whitespace only. *)
+let flush_text st items =
+  if Buffer.length st.buf = 0 then items
+  else begin
+    let items =
+      if blank_from st.buf 0 then items
+      else Tree.Text (Buffer.contents st.buf) :: items
+    in
+    Buffer.clear st.buf;
+    items
+  end
+
+(* Top-level recursion with explicit accumulators, so that no closure is
+   allocated per element. *)
 let rec parse_element st =
   expect st "<";
   let name = parse_name st in
-  let rec attrs acc =
-    skip_space st;
-    if looking_at st "/>" then begin
-      st.pos <- st.pos + 2;
-      Tree.Element { name; attrs = List.rev acc; children = [] }
-    end
-    else if peek st = '>' then begin
-      advance st;
-      let children = parse_content st name in
-      Tree.Element { name; attrs = List.rev acc; children }
-    end
-    else begin
-      let aname = parse_name st in
-      skip_space st;
-      expect st "=";
-      skip_space st;
-      let v = parse_attr_value st in
-      if List.mem_assoc aname acc then fail st (Printf.sprintf "duplicate attribute %s" aname);
-      attrs ((aname, v) :: acc)
-    end
-  in
-  attrs []
+  parse_attrs st name []
 
-and parse_content st parent_name =
-  let items = ref [] in
-  let textbuf = Buffer.create 16 in
-  let flush_text () =
-    if Buffer.length textbuf > 0 then begin
-      let s = Buffer.contents textbuf in
-      Buffer.clear textbuf;
-      if not (is_blank s) then items := Tree.Text s :: !items
-    end
-  in
-  let rec go () =
-    if eof st then fail st (Printf.sprintf "unterminated element <%s>" parent_name)
-    else if looking_at st "</" then begin
-      flush_text ();
-      st.pos <- st.pos + 2;
-      let cname = parse_name st in
-      if cname <> parent_name then
-        fail st (Printf.sprintf "mismatched close tag </%s> for <%s>" cname parent_name);
-      skip_space st;
-      expect st ">"
-    end
-    else if looking_at st "<!--" then (skip_comment st; go ())
-    else if looking_at st "<![CDATA[" then (parse_cdata st textbuf; go ())
-    else if looking_at st "<?" then (skip_pi st; go ())
-    else if peek st = '<' && (is_name_start (peek2 st)) then begin
-      flush_text ();
-      let child = parse_element st in
-      items := child :: !items;
-      go ()
-    end
-    else if peek st = '<' then fail st "malformed markup"
-    else if peek st = '&' then (parse_reference st textbuf; go ())
-    else begin
-      Buffer.add_char textbuf (peek st);
-      advance st;
-      go ()
-    end
-  in
-  go ();
-  List.rev !items
+and parse_attrs st name acc =
+  skip_space st;
+  if looking_at st "/>" then begin
+    st.pos <- st.pos + 2;
+    Tree.Element { name; attrs = List.rev acc; children = [] }
+  end
+  else if peek st = '>' then begin
+    advance st;
+    let children = parse_content st name [] in
+    Tree.Element { name; attrs = List.rev acc; children }
+  end
+  else begin
+    let aname = parse_name st in
+    skip_space st;
+    expect st "=";
+    skip_space st;
+    let v = parse_attr_value st in
+    if List.mem_assoc aname acc then fail st (Printf.sprintf "duplicate attribute %s" aname);
+    parse_attrs st name ((aname, v) :: acc)
+  end
+
+(* The close tag's name is matched against [parent_name] in place; only a
+   mismatch copies it out, for the message. *)
+and parse_close st parent_name =
+  st.pos <- st.pos + 2;
+  let n = String.length parent_name in
+  if occurs_at st st.pos parent_name
+     && not (st.pos + n < st.len && is_name_char st.src.[st.pos + n])
+  then st.pos <- st.pos + n
+  else begin
+    let cname = parse_name st in
+    fail st (Printf.sprintf "mismatched close tag </%s> for <%s>" cname parent_name)
+  end;
+  skip_space st;
+  expect st ">"
+
+(* [items]: the children read so far, last first. *)
+and parse_content st parent_name items =
+  if eof st then fail st (Printf.sprintf "unterminated element <%s>" parent_name);
+  match st.src.[st.pos] with
+  | '<' -> (
+      match peek2 st with
+      | '/' ->
+          let items = flush_text st items in
+          parse_close st parent_name;
+          List.rev items
+      | '!' when looking_at st "<!--" ->
+          skip_comment st;
+          parse_content st parent_name items
+      | '!' when looking_at st "<![CDATA[" ->
+          parse_cdata st;
+          parse_content st parent_name items
+      | '?' ->
+          skip_pi st;
+          parse_content st parent_name items
+      | c when is_name_start c ->
+          let items = flush_text st items in
+          let child = parse_element st in
+          parse_content st parent_name (child :: items)
+      | _ -> fail st "malformed markup")
+  | '&' ->
+      parse_reference st;
+      parse_content st parent_name items
+  | _ ->
+      let start = st.pos in
+      scan_run st '<' '&' '&';
+      Buffer.add_substring st.buf st.src start (st.pos - start);
+      parse_content st parent_name items
 
 let parse_prolog st =
   skip_space st;
@@ -252,7 +319,7 @@ let parse_prolog st =
   go ()
 
 let parse_document src =
-  let st = { src; len = String.length src; pos = 0 } in
+  let st = { src; len = String.length src; pos = 0; buf = Buffer.create 256 } in
   parse_prolog st;
   if not (peek st = '<' && is_name_start (peek2 st)) then fail st "expected root element";
   let root = parse_element st in

@@ -11,21 +11,21 @@ let child d i =
 
 let level = Array.length
 
-let compare a b =
+let compare (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
   let rec go i =
     if i >= la && i >= lb then 0
     else if i >= la then -1
     else if i >= lb then 1
     else
-      let c = Stdlib.compare a.(i) b.(i) in
+      let c = Int.compare a.(i) b.(i) in
       if c <> 0 then c else go (i + 1)
   in
   go 0
 
 let equal a b = compare a b = 0
 
-let common_prefix_len a b =
+let common_prefix_len (a : int array) (b : int array) =
   let n = min (Array.length a) (Array.length b) in
   let rec go i = if i < n && a.(i) = b.(i) then go (i + 1) else i in
   go 0

@@ -52,6 +52,28 @@ let prop_codec_strings =
       let c = Store.Codec.cursor (Buffer.contents b) in
       List.for_all (fun x -> Store.Codec.read_string c = x) xs)
 
+(* Store rows are sized arithmetically; each size function must agree with
+   the bytes its writer emits, over the whole int range. *)
+let prop_codec_sizes =
+  let gen_int =
+    QCheck2.Gen.(
+      oneof
+        [ int; int_range (-300) 300;
+          oneofl [ min_int; max_int; 0; -1; 63; 64; -64; -65; 127; 128 ] ])
+  in
+  let written add x =
+    let b = Buffer.create 16 in
+    add b x;
+    Buffer.length b
+  in
+  QCheck2.Test.make ~name:"codec sizes = bytes written" ~count:1000
+    QCheck2.Gen.(pair gen_int (array_size (int_range 0 20) gen_int))
+    (fun (n, a) ->
+      let u = n land max_int in
+      Store.Codec.int_size n = written Store.Codec.add_int n
+      && Store.Codec.uint_size u = written Store.Codec.add_uint u
+      && Store.Codec.int_array_size a = written Store.Codec.add_int_array a)
+
 let test_io_stats () =
   let s = Store.Io_stats.create () in
   Store.Io_stats.charge_read s 100;
@@ -344,9 +366,39 @@ let test_update_value_keeps_columns () =
     (Store.Shredded.grouped_sequence st title ~level:1)
     (Store.Shredded.grouped_sequence st2 title ~level:1)
 
+(* Bytes charged for reading each type's sequence row and Dewey column. *)
+let row_charges st =
+  let stats = Store.Shredded.stats st in
+  let read f =
+    Store.Io_stats.reset stats;
+    ignore (f ());
+    (Store.Io_stats.snapshot stats).Store.Io_stats.bytes_read
+  in
+  List.map
+    (fun ty ->
+      ( read (fun () -> Store.Shredded.sequence st ty),
+        read (fun () -> Store.Shredded.dewey_column st ty) ))
+    (Xml.Dataguide.all_types (Store.Shredded.guide st))
+
+let prop_row_charges_survive_save_load =
+  QCheck2.Test.make ~name:"row charges equal after save/load" ~count:50
+    Gen.gen_doc (fun doc ->
+      let st = Store.Shredded.shred doc in
+      let reloaded version =
+        let path = Filename.temp_file "xmorph" ".store" in
+        Store.Shredded.save ~version st path;
+        let st2 = Store.Shredded.load path in
+        Sys.remove path;
+        st2
+      in
+      let charges = row_charges st in
+      charges = row_charges (reloaded 2) && charges = row_charges (reloaded 1))
+
 let suite =
   suite
   @ [
+      QCheck_alcotest.to_alcotest prop_codec_sizes;
+      QCheck_alcotest.to_alcotest prop_row_charges_survive_save_load;
       Alcotest.test_case "GroupedSequence rows" `Quick test_grouped_sequence;
       QCheck_alcotest.to_alcotest prop_grouped_sequence_partitions;
       Alcotest.test_case "Dewey columns aligned and faithful" `Quick

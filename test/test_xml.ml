@@ -97,6 +97,92 @@ let test_error_position () =
       Alcotest.(check int) "line 2" 2 line
   | _ -> Alcotest.fail "expected error"
 
+let check_error_at src (line, col, msg) =
+  match parse src with
+  | exception Xml.Parser.Error { line = l; col = c; msg = m } ->
+      Alcotest.(check (triple int int string)) (Printf.sprintf "%S" src)
+        (line, col, msg) (l, c, m)
+  | _ -> Alcotest.failf "expected a parse error for %S" src
+
+let test_error_position_at_eof () =
+  (* At end of input the position is just past the last character. *)
+  check_error_at "<a>" (1, 4, "unterminated element <a>");
+  check_error_at "<a>\n" (2, 1, "unterminated element <a>");
+  check_error_at "<a>\n<b>\n" (3, 1, "unterminated element <b>");
+  check_error_at {|<a x="1|} (1, 8, "unterminated attribute value");
+  check_error_at "<a><!-- x</a>" (1, 14, "unterminated comment");
+  check_error_at "<a><? x</a>" (1, 12, "unterminated processing instruction");
+  check_error_at "<a><![CDATA[x</a>" (1, 18, "unterminated CDATA section");
+  check_error_at "<!DOCTYPE a [" (1, 14, "unterminated DOCTYPE");
+  Alcotest.(check (option string)) "rendered"
+    (Some "XML parse error at line 1, column 4: unterminated element <a>")
+    (match parse "<a>" with
+     | exception e -> Xml.Parser.error_message e
+     | _ -> None)
+
+(* One case per error family raised before the end of input: message,
+   line and column.  The families that only end of input raises are in
+   [test_error_position_at_eof]. *)
+let test_error_messages () =
+  List.iter
+    (fun (src, expected) -> check_error_at src expected)
+    [
+      ("", (1, 1, "expected root element"));
+      ("junk<a/>", (1, 1, "expected root element"));
+      ("<a></ >", (1, 6, "expected a name"));
+      ("<a x/>", (1, 5, {|expected "="|}));
+      ("<a x=1/>", (1, 6, "expected quoted attribute value"));
+      ({|<a x="<"/>|}, (1, 7, "'<' in attribute value"));
+      ("<a>\n  <b x='1' x='2'/>\n</a>", (2, 17, "duplicate attribute x"));
+      ("<a>&foo;</a>", (1, 9, "unknown entity &foo;"));
+      ("<a>&#;</a>", (1, 6, "empty character reference"));
+      ("<a>&#xZZ;</a>", (1, 7, "empty character reference"));
+      ("<a>&#99999999999999999999;</a>", (1, 27, "bad character reference"));
+      ("<a>&#x110000;</a>", (1, 14, "character reference out of range"));
+      ("<a>&amp </a>", (1, 8, {|expected ";"|}));
+      ("<a>\n<b></c>\n</a>", (2, 7, "mismatched close tag </c> for <b>"));
+      ("<a></ab>", (1, 8, "mismatched close tag </ab> for <a>"));
+      ("<ab></a>", (1, 8, "mismatched close tag </a> for <ab>"));
+      ("<a>< b</a>", (1, 4, "malformed markup"));
+      ("<a><!DOCTYPE a></a>", (1, 4, "malformed markup"));
+      ("<a/>\nx", (2, 1, "content after root element"));
+      ("<a></a x>", (1, 8, {|expected ">"|}));
+    ]
+
+(* The parser's exact output, compared with structural [=]: [Tree.equal]
+   merges adjacent text and ignores attribute order, so it would not see a
+   text run split in two or a value leaking into a neighbour. *)
+let test_exact_output () =
+  let el = Xml.Tree.element and text = Xml.Tree.text in
+  let check name expected src =
+    let got = parse src in
+    if got <> expected then
+      Alcotest.failf "%s: %S parsed to %s" name src (Xml.Printer.to_string got)
+  in
+  check "text split by references, CDATA, comments and PIs"
+    (el "a" [ text "x & y<z>wvu" ])
+    "<a>x &amp; y<![CDATA[<z>]]>w<!-- c -->v<?p q?>u</a>";
+  check "text around children"
+    (el "a" [ text "pre"; el "b" []; text " mid "; el "c" []; text "post" ])
+    "<a>pre<b/> mid <c></c>post</a>";
+  check "whitespace-only runs dropped"
+    (el "a" [ el "b" [ text " x " ] ])
+    "<a>\n <!-- c --> \n<b> x </b>\t\n</a>";
+  check "self-closing attributes do not leak into the following text"
+    (el "r" [ el ~attrs:[ ("k", "a&b"); ("j", "w") ] "e" []; text "tail" ])
+    {|<r><e k="a&amp;b" j='w'/>tail</r>|};
+  check "text before an attributed element stays its own"
+    (el "r" [ text "pre"; el ~attrs:[ ("k", "<v>") ] "e" []; text "post" ])
+    {|<r>pre<e k="&lt;v&gt;"/>post</r>|};
+  check "attribute values do not leak into the element's text"
+    (el "r" [ el ~attrs:[ ("k", "&") ] "e" [ text "body" ] ])
+    {|<r><e k="&amp;">body</e></r>|};
+  check "references in both quote styles"
+    (el
+       ~attrs:[ ("x", {|"1"|}); ("y", "'2'"); ("z", "'"); ("w", {|"&A|}) ]
+       "a" [])
+    {|<a x="&quot;1&quot;" y='&apos;2&apos;' z="'" w='"&amp;&#65;'/>|}
+
 let test_escape () =
   Alcotest.(check string) "text" "a&amp;b&lt;c&gt;d" (Xml.Printer.escape_text "a&b<c>d");
   Alcotest.(check string) "attr" "a&quot;b&amp;" (Xml.Printer.escape_attr "a\"b&")
@@ -159,6 +245,10 @@ let suite =
     Alcotest.test_case "whitespace policy" `Quick test_whitespace;
     Alcotest.test_case "malformed inputs rejected" `Quick test_errors;
     Alcotest.test_case "error position" `Quick test_error_position;
+    Alcotest.test_case "error position at end of input" `Quick
+      test_error_position_at_eof;
+    Alcotest.test_case "error messages and positions" `Quick test_error_messages;
+    Alcotest.test_case "exact parser output" `Quick test_exact_output;
     Alcotest.test_case "escaping" `Quick test_escape;
     Alcotest.test_case "serialized_size" `Quick test_serialized_size;
     Alcotest.test_case "tree helpers" `Quick test_tree_helpers;
