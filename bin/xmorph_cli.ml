@@ -175,9 +175,10 @@ let obs_term_gen ~stats_db_flag =
                      predicted-vs-actual cardinality q-error) into the \
                      persistent warehouse at $(docv), merging with whatever \
                      history is already there.  Defaults to the \
-                     XMORPH_STATS_DB environment variable.  Recorded \
-                     executions run under the profiler and are therefore \
-                     serialized and single-domain.  Inspect with \
+                     XMORPH_STATS_DB environment variable.  Each recorded \
+                     execution runs under a profile session of its own \
+                     and renders on one domain; cache hits are not \
+                     recorded.  Inspect with \
                      $(b,xmorph explain), $(b,xmorph stats --stats-db), or \
                      GET /debug/opstats on serve.")
   in
@@ -993,7 +994,7 @@ let serve_cmd =
          & info [ "slow-ms" ] ~docv:"MS"
              ~doc:"Slow-query auto-capture: re-execute any POST /query whose \
                    wall time reaches $(docv) milliseconds once under the \
-                   per-operator profiler (serialized, single-domain) and \
+                   per-operator profiler (its own session, one domain) and \
                    attach the profile JSON to its GET /debug/trace entry.  \
                    0 captures every query.  Defaults to the XMORPH_SLOW_MS \
                    environment variable when set.")

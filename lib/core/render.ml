@@ -22,10 +22,11 @@ let make_rctx store =
   { store; caches = Hashtbl.create 64; cache_lock = Mutex.create ();
     levels = Hashtbl.create 64; level_lock = Mutex.create () }
 
-(* How many domains this render may use.  Profiling forces sequential
-   evaluation: the profiler's frame stack and block-attribution counters
-   are single-domain structures, and per-operator timings would be
-   meaningless interleaved. *)
+(* How many domains this render may use.  A render recorded by a profile
+   session runs sequentially: the session's frame stack and block counters
+   belong to the calling thread, and per-operator timings would be
+   meaningless interleaved.  Only the recorded execution pays this;
+   concurrent unrecorded renders keep the pool. *)
 let effective_jobs () = if Xmobs.Profile.profiling () then 1 else Pool.jobs ()
 
 let cache rctx ty =

@@ -1,14 +1,22 @@
 (** Per-operator query profiler — EXPLAIN ANALYZE for the operator tree.
 
-    Off by default and zero-cost when off: every entry point is a single
-    branch on a [bool ref], and the disabled path performs no allocation
-    (instrumented hot paths guard on {!profiling} and use the
+    Frames are recorded into a {!session}: one frame tree, installed
+    either for the calling thread only ({!with_session}: one execution's
+    frames, untouched by concurrent executions) or process-wide
+    ({!enable}: every thread records into one tree, as [--profile] and
+    [xmorph profile] use it).  A thread's own session shadows the
+    process-wide one.
+
+    Off by default and zero-cost when off: with no session live, every
+    entry point is one atomic load and a branch, and performs no
+    allocation (instrumented hot paths guard on {!profiling} and use the
     allocation-free {!enter}/{!exit} pair; {!op} is for cold sites).
 
-    While enabled, each instrumented operator evaluation is charged to a
-    {!frame} found (or created) by name under the innermost open frame —
-    so repeated evaluations of the same operator aggregate into one node
-    with a call count, and the frame tree mirrors the operator tree. *)
+    While recording, each instrumented operator evaluation is charged to
+    a {!frame} found (or created) by name under the innermost open frame
+    — so repeated evaluations of the same operator aggregate into one
+    node with a call count, and the frame tree mirrors the operator
+    tree. *)
 
 type frame = {
   name : string;
@@ -26,21 +34,45 @@ type frame = {
 (** Open activation returned by {!enter}; pass it to {!exit}. *)
 type token
 
+(** One frame tree with its activation stack and its own I/O counters. *)
+type session
+
+(** [profiling ()] is true when a session records the calling thread:
+    its own, or the process-wide one. *)
 val profiling : unit -> bool
 
-(** [enable ()] turns the profiler on with a fresh frame tree. *)
+(** [session ()] is a fresh, empty, uninstalled session. *)
+val session : unit -> session
+
+(** [with_session s f] runs [f ()] with [s] installed for the calling
+    thread only, and uninstalls it when [f] returns or raises.  Other
+    threads are not recorded into [s], and do not see {!profiling}
+    turn on. *)
+val with_session : session -> (unit -> 'a) -> 'a
+
+(** [session_roots s] is [s]'s root frames, oldest first. *)
+val session_roots : session -> frame list
+
+(** [session_json s] exports [s] as {!to_json} does. *)
+val session_json : session -> Xmutil.Json.t
+
+(** [enable ()] installs a fresh process-wide session. *)
 val enable : unit -> unit
 
-(** [disable ()] stops recording; the collected tree remains readable. *)
+(** [disable ()] uninstalls the process-wide session; its tree remains
+    readable through {!roots}, {!to_text} and {!to_json}. *)
 val disable : unit -> unit
 
-(** [reset ()] discards collected frames, keeping the enabled state. *)
+(** [reset ()] discards the process-wide session's frames, keeping the
+    enabled state. *)
 val reset : unit -> unit
 
-(** [set_io_source f] registers the cumulative (blocks_read,
-    blocks_written) reader used for per-frame block-I/O deltas.
-    [Store.Io_stats] registers itself at module initialisation. *)
-val set_io_source : (unit -> int * int) -> unit
+(** [charge_read bytes] / [charge_write bytes] add store I/O to the
+    calling thread's session, whose cumulative blocks feed per-frame
+    block deltas.  [Store.Io_stats] calls them on every charge. *)
+val charge_read : int -> unit
+
+val charge_write : int -> unit
 
 (** [enter name] opens an activation of operator [name] under the
     innermost open frame.  Allocation-free and O(1) when disabled. *)
@@ -65,7 +97,7 @@ val op : string -> (unit -> 'a) -> 'a
 (** Self time: total minus time spent in child frames, clamped at 0. *)
 val self_us : frame -> float
 
-(** Root frames, oldest first. *)
+(** The process-wide session's root frames, oldest first. *)
 val roots : unit -> frame list
 
 (** A frame's children, oldest first. *)

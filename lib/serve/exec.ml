@@ -86,6 +86,11 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
   let classification = ref None in
   let out_nodes = ref 0 in
   let cached = ref false in
+  (* Domains the render may use: one under a profile session (see
+     [Render.effective_jobs]), which [run_recorded] also installs. *)
+  let jobs =
+    ref (if Xmobs.Profile.profiling () then 1 else Xmutil.Pool.jobs ())
+  in
   let generation = Store.Shredded.generation store in
   (* One record, two sinks: the on-disk query log and the flight
      recorder's in-memory ring.  The entry is built once behind the
@@ -121,7 +126,7 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
                      (Store.Io_stats.diff
                         (Store.Io_stats.snapshot (Store.Shredded.stats store))
                         io0)));
-          jobs = Xmutil.Pool.jobs ();
+          jobs = !jobs;
           cached = !cached;
           generation = Some generation;
         }
@@ -131,15 +136,11 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
     end
   in
   (* Cache discipline.  Both tiers are bypassed (no lookup, no insert)
-     while operator-statistics recording or profiling could observe this
-     execution: a plan-cache hit skips the compile frames and a result
-     hit skips everything, which would write meaningless near-zero rows
-     into the warehouse and profiles. *)
-  let use_cache =
-    Xmcache.enabled ()
-    && (not (Xmobs.Statdb.enabled ()))
-    && not (Xmobs.Profile.profiling ())
-  in
+     only while a profile session already records this thread (operator
+     --profile, slow-query capture): those profiles must describe a full
+     execution.  Warehouse recording keeps both tiers on — it records
+     only what actually runs below (see [run_recorded]). *)
+  let use_cache = Xmcache.enabled () && not (Xmobs.Profile.profiling ()) in
   let guide = Store.Shredded.guide store in
   let guide_uid = Xml.Dataguide.uid guide in
   let qh = match query_hash with Some h -> h | None -> "" in
@@ -243,47 +244,35 @@ let execute ~source ?(doc = "") ?(enforce = true) ?(compact = false)
              else Rendered { body = entry.Xmcache.body; compiled })
   in
   (* Operator-statistics recording (--stats-db): run the execution under
-     the global profiler and fold the frame tree, plus the compiled
-     shape's predicted closest-join cardinalities, into the warehouse.
-     The profiler is a single global frame tree and forces sequential
-     render, so recorded executions are serialized on the shared
-     recording lock — counts are then identical at any --jobs setting.
-     An execution that already runs under the profiler (operator
-     --profile, slow-query capture) owns the frame tree; skip recording
-     rather than clobber it. *)
+     a profile session of its own and fold its frame tree, plus the
+     compiled shape's predicted closest-join cardinalities, into the
+     warehouse.  The session belongs to this thread, so concurrent
+     recorded executions neither share frames nor wait for each other,
+     and only this execution's render drops to one domain — counts are
+     identical at any --jobs setting.  It wraps only what runs after the
+     result tier missed: a plan hit records render frames and no compile
+     frames.  An execution that already runs under a session (operator
+     --profile, slow-query capture) belongs to that profile; it is not
+     recorded. *)
   let run_recorded () =
     if (not (Xmobs.Statdb.enabled ())) || Xmobs.Profile.profiling () then
       run ()
-    else
-      Xmobs.Statdb.serialized (fun () ->
-          (* Re-check under the lock: --profile may have grabbed the
-             frame tree between the gate and here. *)
-          if Xmobs.Profile.profiling () then run ()
-          else begin
-            Xmobs.Profile.enable ();
-            let harvest () =
-              let frames = Xmobs.Profile.roots () in
-              Xmobs.Profile.disable ();
-              frames
-            in
-            match run () with
-            | outcome ->
-                let frames = harvest () in
-                let predictions =
-                  match outcome with
-                  | Rendered { compiled; _ } | Query_result { compiled; _ } ->
-                      Xmorph.Interp.predicted_joins
-                        (Store.Shredded.guide store) compiled
-                  | Failed _ -> []
-                in
-                Xmobs.Statdb.submit ~guard_hash ~predictions frames;
-                outcome
-            | exception e ->
-                (* Partial frames from an aborted execution would skew
-                   the history; drop them. *)
-                ignore (harvest ());
-                raise e
-          end)
+    else begin
+      let session = Xmobs.Profile.session () in
+      jobs := 1;
+      (* Partial frames from an aborted execution would skew the
+         history: an exception leaves the session unsubmitted. *)
+      let outcome = Xmobs.Profile.with_session session run in
+      let predictions =
+        match outcome with
+        | Rendered { compiled; _ } | Query_result { compiled; _ } ->
+            Xmorph.Interp.predicted_joins guide compiled
+        | Failed _ -> []
+      in
+      Xmobs.Statdb.submit ~guard_hash ~predictions
+        (Xmobs.Profile.session_roots session);
+      outcome
+    end
   in
   match (match serve_hit () with Some v -> v | None -> run_recorded ()) with
   | v ->

@@ -38,10 +38,16 @@ val execute :
 
     When {!Xmcache} is enabled, the compiled plan and the rendered body
     are looked up there first and inserted on a miss; both tiers are
-    bypassed entirely while {!Xmobs.Statdb} recording or
-    {!Xmobs.Profile} profiling is active, so warehouse history and
-    profiles always describe real executions.  A result-tier hit is
-    flagged in the query-log record's [cached] field.
+    bypassed only while a {!Xmobs.Profile} session already records the
+    calling thread ([--profile], slow-query capture), so those profiles
+    describe full executions.  A result-tier hit is flagged in the
+    query-log record's [cached] field.
+
+    With {!Xmobs.Statdb} on, the cache stays on and only the work that
+    actually runs is recorded, in a profile session owned by this call:
+    a result hit records nothing, a plan hit records the render frames
+    but no compile frames, and a miss records both.  Concurrent calls
+    record concurrently, without a shared lock.
 
     [?guard_hash] is the precomputed {!Xmobs.Qlog.hash_text} of [guard];
     pass it when the caller already hashed the guard (the server does,

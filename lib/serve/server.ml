@@ -26,8 +26,6 @@ type t = {
   slots : Semaphore.Counting.t;
   slow_ms : float option;
   slow_log : string option;
-  slow_lock : Mutex.t; (* serializes slow-query captures: the profiler
-                          is process-global, single-capture-at-a-time *)
   (* rolling per-second windows behind GET /debug/timeseries; owned by
      the server (not the global Timeseries registry) so concurrent
      daemons — and tests — never share ring state *)
@@ -186,7 +184,6 @@ let create ?(addr = "127.0.0.1") ?(port = 0) ?(workers = 4) ?slow_ms ?slow_log
     slots = Semaphore.Counting.make workers;
     slow_ms;
     slow_log;
-    slow_lock = Mutex.create ();
     ts_window = window;
     ts_requests = Xmobs.Timeseries.create ~window Histogram "requests";
     ts_errors = Xmobs.Timeseries.create ~window Counter "errors";
@@ -284,56 +281,37 @@ let stats_json t =
       ("metrics", Xmobs.Metrics.to_json ()) ]
 
 (* Slow-query auto-capture: re-execute the over-threshold request once
-   under the per-operator profiler and attach the resulting JSON to the
-   request's trace-ring entry (and, optionally, a --slow-log artifact).
-   The profiler is process-global single-domain state, so captures are
-   serialized by [slow_lock] and force Pool jobs=1 for exact attribution.
-   When the operator already owns the profiler (--profile), skip — a
-   capture would clobber their frame tree.  Concurrent request traffic
-   during a capture only adds frames to the captured tree (systhreads
-   cannot data-race the profiler); the capture is a diagnostic artifact,
-   not an exact replay.  Runs synchronously before the triggering
-   response returns, delaying it by roughly one more execution. *)
+   under a profile session of its own and attach the resulting JSON to
+   the request's trace-ring entry (and, optionally, a --slow-log
+   artifact).  The session belongs to the capturing thread: concurrent
+   requests keep their job count and add no frames to the capture, and
+   captures need no lock.  The session also makes [Exec] bypass the cache
+   and skip warehouse recording, so the profile is of a full execution
+   and the history is not charged twice.  Runs synchronously before the
+   triggering response returns, delaying it by roughly one more
+   execution. *)
 let capture_slow t ~trace_id ~doc_name ~enforce ?query store guard =
-  if not (Xmobs.Profile.profiling ()) then begin
-    Mutex.lock t.slow_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.slow_lock)
-      (fun () ->
-        (* Re-check under the lock: an operator --profile enabled between
-           the gate and here still owns the frame tree. *)
-        (* Also hold the statdb recording lock: --stats-db executions
-           enable the same global profiler, and two owners of the frame
-           tree would interleave their frames. *)
-        Xmobs.Statdb.serialized @@ fun () ->
-        if not (Xmobs.Profile.profiling ()) then begin
-          let saved_jobs = Xmutil.Pool.jobs () in
-          Xmutil.Pool.set_jobs 1;
-          Xmobs.Profile.enable ();
-          Fun.protect
-            ~finally:(fun () ->
-              Xmobs.Profile.disable ();
-              Xmutil.Pool.set_jobs saved_jobs)
-            (fun () ->
-              ignore
-                (Exec.execute ~source:"slow-capture" ~doc:doc_name ~enforce
-                   ~trace_id ?query store guard));
-          let profile = Xmobs.Profile.to_json () in
-          ignore (Xmobs.Ctx.attach_profile ~trace_id profile);
-          Xmobs.Metrics.inc "serve.slow_captures";
-          match t.slow_log with
-          | None -> ()
-          | Some dir -> (
-              try
-                if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-                let path = Filename.concat dir (trace_id ^ ".json") in
-                let oc = open_out path in
-                output_string oc (Xmutil.Json.to_string ~pretty:true profile);
-                output_char oc '\n';
-                close_out_noerr oc
-              with Sys_error _ | Unix.Unix_error _ -> ())
-        end)
-  end
+  let session = Xmobs.Profile.session () in
+  Xmobs.Profile.with_session session (fun () ->
+      ignore
+        (Exec.execute ~source:"slow-capture" ~doc:doc_name ~enforce ~trace_id
+           ?query store guard));
+  let profile = Xmobs.Profile.session_json session in
+  ignore (Xmobs.Ctx.attach_profile ~trace_id profile);
+  Xmobs.Metrics.inc "serve.slow_captures";
+  match t.slow_log with
+  | None -> ()
+  | Some dir -> (
+      try
+        (* Captures run concurrently: another may create [dir] first. *)
+        (try Unix.mkdir dir 0o755
+         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        let path = Filename.concat dir (trace_id ^ ".json") in
+        let oc = open_out path in
+        output_string oc (Xmutil.Json.to_string ~pretty:true profile);
+        output_char oc '\n';
+        close_out_noerr oc
+      with Sys_error _ | Unix.Unix_error _ -> ())
 
 let handle_query t req =
   (* Honor an upstream W3C traceparent when well-formed; otherwise (or

@@ -45,18 +45,6 @@ let create () : t =
    as they do under BerkeleyDB's page cache. *)
 let blocks_of bytes = (bytes + block_size - 1) / block_size
 
-(* Cumulative blocks across every store instance, maintained only while the
-   profiler runs so per-operator block deltas can be attributed by
-   snapshotting around an operator's evaluation.  Per-instance block-delta
-   computation keeps the page-rounding semantics of [blocks_of] even with
-   several live stores.  Plain refs are fine: profiling forces the renderer
-   sequential (see [Render.effective_jobs]), so these are only touched from
-   the main domain. *)
-let g_blocks_read = ref 0
-let g_blocks_written = ref 0
-let global_blocks () = (!g_blocks_read, !g_blocks_written)
-let () = Xmobs.Profile.set_io_source global_blocks
-
 let metric_handles t =
   let reg = Xmobs.Metrics.current_registry () in
   match t.handles with
@@ -136,34 +124,23 @@ let snapshot (t : t) : snapshot =
   }
 
 let charge_read (t : t) bytes =
-  if Xmobs.Profile.profiling () then begin
-    (* Profiling implies sequential evaluation, so the read-modify-write
-       around the block attribution cannot race. *)
-    let before = blocks_of (Atomic.get t.c_bytes_read) in
-    ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
-    let after = blocks_of (Atomic.get t.c_bytes_read) in
-    if after > before then g_blocks_read := !g_blocks_read + (after - before)
-  end
-  else ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
+  ignore (Atomic.fetch_and_add t.c_bytes_read bytes);
   ignore (Atomic.fetch_and_add t.c_read_ops 1);
   (* Mirror into the calling thread's request context (serve attributes
-     per-request I/O this way).  Charges from Pool worker domains miss the
-     thread-keyed slot and only land in the store-wide atomics — exact
-     attribution at jobs=1, a lower bound otherwise. *)
+     per-request I/O this way) and profile session (per-frame block
+     deltas).  Charges from Pool worker domains miss both thread-keyed
+     slots and only land in the store-wide atomics — exact attribution
+     at jobs=1, a lower bound otherwise; a profiled execution renders at
+     jobs=1. *)
   Xmobs.Ctx.charge_read bytes;
+  Xmobs.Profile.charge_read bytes;
   publish t
 
 let charge_write (t : t) bytes =
-  if Xmobs.Profile.profiling () then begin
-    let before = blocks_of (Atomic.get t.c_bytes_written) in
-    ignore (Atomic.fetch_and_add t.c_bytes_written bytes);
-    let after = blocks_of (Atomic.get t.c_bytes_written) in
-    if after > before then
-      g_blocks_written := !g_blocks_written + (after - before)
-  end
-  else ignore (Atomic.fetch_and_add t.c_bytes_written bytes);
+  ignore (Atomic.fetch_and_add t.c_bytes_written bytes);
   ignore (Atomic.fetch_and_add t.c_write_ops 1);
   Xmobs.Ctx.charge_write bytes;
+  Xmobs.Profile.charge_write bytes;
   publish t
 
 let diff (later : snapshot) (earlier : snapshot) : snapshot =

@@ -45,9 +45,10 @@ val reset : t -> unit
 val charge_read : t -> int -> unit
 (** [charge_read t bytes] records a read of [bytes] bytes.  When the
     calling thread has an {!Xmobs.Ctx} request context installed, the
-    charge is also mirrored into it (per-request I/O attribution); charges
-    from {!Xmutil.Pool} worker domains miss the thread-keyed context and
-    only land in the store-wide counters. *)
+    charge is also mirrored into it (per-request I/O attribution), and
+    likewise into the calling thread's {!Xmobs.Profile} session (per-frame
+    block deltas); charges from {!Xmutil.Pool} worker domains miss both
+    thread-keyed slots and only land in the store-wide counters. *)
 
 val charge_write : t -> int -> unit
 
@@ -56,13 +57,6 @@ val republish : t -> unit
     observers, trace counter).  Charges made from worker domains do not
     publish; callers that fan work out call this after joining.  No-op off
     the main domain. *)
-
-val global_blocks : unit -> int * int
-(** Cumulative [(blocks_read, blocks_written)] summed over every store
-    instance.  Maintained only while {!Xmobs.Profile.profiling} is on
-    (registered as the profiler's I/O source at module initialisation);
-    the profiler snapshots it around each operator evaluation to
-    attribute block-I/O deltas per operator. *)
 
 val snapshot : t -> snapshot
 

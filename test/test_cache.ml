@@ -200,6 +200,94 @@ let test_update_invalidates_results () =
   Alcotest.(check string) "old generation still byte-identical" cold
     (exec_body store guard)
 
+(* ---------- the warehouse on the cache ---------- *)
+
+(* With --stats-db on, both tiers stay on and the warehouse records only
+   what ran: a result hit adds nothing, a plan hit adds render rows but
+   no compile row, and the query log's [cached] flag says which. *)
+let warehouse_counts () =
+  match Xmobs.Statdb.db () with
+  | None -> Alcotest.fail "warehouse unexpectedly disabled"
+  | Some db ->
+      List.map
+        (fun (s : Xmobs.Statdb.summary) ->
+          ( s.Xmobs.Statdb.s_op,
+            [ s.Xmobs.Statdb.calls; s.Xmobs.Statdb.in_nodes;
+              s.Xmobs.Statdb.out_nodes; s.Xmobs.Statdb.pairs ] ))
+        (Xmobs.Statdb.rows db)
+
+let calls_of rows op =
+  match List.assoc_opt op rows with Some (c :: _) -> c | _ -> 0
+
+let read_lines path =
+  let ic = open_in_bin path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+let test_warehouse_on_cache () =
+  let tmp name =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xmorph_cache_%d_%s" (Unix.getpid ()) name)
+  in
+  let db = tmp "stats.db" and qlog = tmp "q.jsonl" in
+  let clean () = List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ db; qlog ] in
+  clean ();
+  Fun.protect
+    ~finally:(fun () ->
+      Xmobs.Statdb.disable ();
+      Xmobs.Qlog.disable ();
+      clean ())
+  @@ fun () ->
+  Xmobs.Statdb.enable db;
+  Xmobs.Qlog.enable qlog;
+  with_cache (1 lsl 20) @@ fun () ->
+  let store = shred () in
+  let guard = "MORPH author [ name ]" in
+  let cold = exec_body store guard in
+  let after_miss = warehouse_counts () in
+  Alcotest.(check int) "miss records compile" 1 (calls_of after_miss "compile");
+  Alcotest.(check int) "miss records render" 1 (calls_of after_miss "render");
+  (* A repeat is a result hit: same bytes, nothing recorded. *)
+  let warm = exec_body store guard in
+  Alcotest.(check string) "hit byte-identical to cold" cold warm;
+  Alcotest.(check int) "one result hit" 1 (cache_stats ()).Xmcache.result_hits;
+  Alcotest.(check bool) "a result hit adds no warehouse row" true
+    (warehouse_counts () = after_miss);
+  (* A value update keeps the shape: plan hit, result miss. *)
+  let guide = Store.Shredded.guide store in
+  let name = List.hd (Xml.Dataguide.match_label guide "name") in
+  let id = (Store.Shredded.sequence store name).(0) in
+  let store2 = Store.Shredded.update_value store id "Cy" in
+  let s0 = cache_stats () in
+  let updated = exec_body store2 guard in
+  let s1 = cache_stats () in
+  Alcotest.(check bool) "update visible" true (contains_substring updated "Cy");
+  Alcotest.(check int) "plan hit" (s0.Xmcache.plan_hits + 1) s1.Xmcache.plan_hits;
+  Alcotest.(check int) "result miss" (s0.Xmcache.result_misses + 1)
+    s1.Xmcache.result_misses;
+  let after_plan_hit = warehouse_counts () in
+  Alcotest.(check int) "plan hit records render" 2
+    (calls_of after_plan_hit "render");
+  Alcotest.(check int) "plan hit records no compile" 1
+    (calls_of after_plan_hit "compile");
+  Alcotest.(check int) "nor the compile-time operators"
+    (calls_of after_miss "morph") (calls_of after_plan_hit "morph");
+  (* The query log agrees, record by record. *)
+  Xmobs.Qlog.flush_global ();
+  let flags =
+    List.map
+      (fun l ->
+        (Xmobs.Qlog.entry_of_json (Xmutil.Json.of_string l)).Xmobs.Qlog.cached)
+      (read_lines qlog)
+  in
+  Alcotest.(check (list bool)) "qlog cached flags" [ false; true; false ] flags
+
 (* ---------- property: cached == cold under interleaved updates ---------- *)
 
 type op = Update of int * string | Exec of int
@@ -274,5 +362,7 @@ let suite =
       test_eviction_under_budget;
     Alcotest.test_case "value update invalidates by generation" `Quick
       test_update_invalidates_results;
+    Alcotest.test_case "warehouse records only uncached work" `Quick
+      test_warehouse_on_cache;
     QCheck_alcotest.to_alcotest prop_cached_equals_cold;
   ]

@@ -275,8 +275,8 @@ let test_read_request_edge_cases () =
 
 (* ---------- the daemon, end to end ---------- *)
 
-let with_server ?slow_ms ?slow_log ?window ?slo f =
-  let store = make_store () in
+let with_server ?store ?slow_ms ?slow_log ?window ?slo f =
+  let store = match store with Some s -> s | None -> make_store () in
   let server =
     Xmserve.Server.create ~port:0 ~workers:2 ?slow_ms ?slow_log ?window ?slo
       ~stores:[ ("data.xml", store) ]
@@ -709,6 +709,76 @@ let test_slow_capture () =
   Sys.remove path;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
+(* A capture runs under its own profile session: an execution on another
+   thread while it runs adds no frames to it, so its frame calls equal a
+   solo capture's.  The store is large enough that a request outlasts one
+   systhread time slice (50 ms), so the other thread does run mid-capture. *)
+let capture_calls tid =
+  let rec frames prefix = function
+    | Xmutil.Json.List fs ->
+        List.concat_map
+          (function
+            | Xmutil.Json.Obj f ->
+                let name =
+                  match List.assoc_opt "name" f with
+                  | Some (Xmutil.Json.String n) -> n
+                  | _ -> Alcotest.fail "frame without a name"
+                in
+                let calls =
+                  match List.assoc_opt "calls" f with
+                  | Some (Xmutil.Json.Int c) -> c
+                  | _ -> Alcotest.fail "frame without calls"
+                in
+                let path = prefix ^ "/" ^ name in
+                (path, calls)
+                :: (match List.assoc_opt "children" f with
+                   | Some cs -> frames path cs
+                   | None -> [])
+            | _ -> Alcotest.fail "frame is not an object")
+          fs
+    | _ -> Alcotest.fail "frames are not a list"
+  in
+  match Xmobs.Ctx.find_completed tid with
+  | Some { Xmobs.Ctx.c_profile = Some (Xmutil.Json.Obj [ ("profile", fs) ]); _ }
+    ->
+      frames "" fs
+  | _ -> Alcotest.fail "no capture attached to the request"
+
+let test_slow_capture_isolated () =
+  Xmobs.Ctx.reset_completed ();
+  let store =
+    Store.Shredded.shred (Workloads.Dblp.to_doc ~entries:4000 ())
+  in
+  let guard = "MORPH author [ title ]" in
+  with_server ~store ~slow_ms:0.0 @@ fun base store ->
+  let capture () =
+    let _, headers, _ = get ~meth:"POST" ~body:guard base "/query" in
+    capture_calls (trace_id_of headers)
+  in
+  let solo = capture () in
+  Alcotest.(check bool) "capture recorded the render" true
+    (List.mem_assoc "/render" solo);
+  let stop = Atomic.make false in
+  let background =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Xmserve.Exec.execute ~source:"test" store guard)
+        done)
+      ()
+  in
+  let concurrent =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Thread.join background)
+      (fun () -> List.init 3 (fun _ -> capture ()))
+  in
+  List.iter
+    (Alcotest.(check (list (pair string int)))
+       "frame calls under concurrency = solo" solo)
+    concurrent
+
 (* Two concurrent requests: disjoint trace ids and span trees, each
    retrievable by id, with per-request I/O deltas summing exactly to the
    store's global counters.  Jobs forced to 1 so charges stay on the
@@ -1034,6 +1104,8 @@ let suite =
       test_debug_endpoints;
     Alcotest.test_case "slow-query auto-capture attaches a profile" `Quick
       test_slow_capture;
+    Alcotest.test_case "slow-query capture is isolated from other threads"
+      `Quick test_slow_capture_isolated;
     Alcotest.test_case "concurrent requests: disjoint traces, I/O sums"
       `Quick test_concurrent_requests_disjoint;
     Alcotest.test_case "stats analyzer aggregates" `Quick test_analyze;

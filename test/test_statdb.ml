@@ -275,6 +275,76 @@ let test_exec_counts_jobs_invariant () =
   Alcotest.(check bool) "some prediction folded" true
     (List.exists (fun (_, _, _, _, _, _, _, obs) -> obs > 0) at1)
 
+(* The session contract: T threads each recording M executions produce
+   exactly T*M times one execution's row, for every operator.  Each
+   recorded execution owns its frame tree and its block counters, so no
+   thread's frames or block crossings land in another's recording. *)
+let race_store =
+  lazy (Store.Shredded.shred (Workloads.Dblp.to_doc ~entries:1500 ()))
+
+let race_guard = "MORPH author [ title ]"
+
+let warehouse_counts () =
+  List.map
+    (fun (s : Xmobs.Statdb.summary) ->
+      ( s.Xmobs.Statdb.s_op,
+        [ s.Xmobs.Statdb.calls; s.Xmobs.Statdb.in_nodes;
+          s.Xmobs.Statdb.out_nodes; s.Xmobs.Statdb.pairs;
+          s.Xmobs.Statdb.blocks_read; s.Xmobs.Statdb.blocks_written;
+          s.Xmobs.Statdb.observed ] ))
+    (Xmobs.Statdb.rows (Option.get (Xmobs.Statdb.db ())))
+
+(* Record [threads] x [per_thread] executions into a fresh warehouse and
+   return its rows' counts. *)
+let recorded_counts ~threads ~per_thread =
+  let store = Lazy.force race_store in
+  let p = tmp_path (Printf.sprintf "race%dx%d.json" threads per_thread) in
+  if Sys.file_exists p then Sys.remove p;
+  Fun.protect
+    ~finally:(fun () ->
+      Xmobs.Statdb.disable ();
+      if Sys.file_exists p then Sys.remove p)
+  @@ fun () ->
+  Xmobs.Statdb.enable p;
+  let failures = Atomic.make 0 in
+  let ts =
+    List.init threads (fun _ ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to per_thread do
+              match Xmserve.Exec.execute ~source:"test" store race_guard with
+              | Xmserve.Exec.Rendered _ -> ()
+              | _ -> Atomic.incr failures
+            done)
+          ())
+  in
+  List.iter Thread.join ts;
+  Alcotest.(check int) "every execution rendered" 0 (Atomic.get failures);
+  warehouse_counts ()
+
+let test_threads_record_exact_multiples () =
+  (* One unrecorded warm-up, so the single-execution row sees the same
+     store state as every execution after it. *)
+  ignore (Xmserve.Exec.execute ~source:"test" (Lazy.force race_store) race_guard);
+  let single = recorded_counts ~threads:1 ~per_thread:1 in
+  Alcotest.(check bool) "render recorded" true (List.mem_assoc "render" single);
+  let per_thread = 20 in
+  List.iter
+    (fun threads ->
+      let n = threads * per_thread in
+      let got = recorded_counts ~threads ~per_thread in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d threads: same operators" threads)
+        (List.map fst single) (List.map fst got);
+      List.iter
+        (fun (op, counts) ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%d threads: %s = %d x one execution" threads op n)
+            (List.map (fun c -> n * c) (List.assoc op single))
+            counts)
+        got)
+    [ 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "record flattens frame trees" `Quick test_record_flattens;
@@ -290,4 +360,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_concurrent_counts;
     Alcotest.test_case "Exec counts identical at jobs 1/2/4" `Quick
       test_exec_counts_jobs_invariant;
+    Alcotest.test_case "T threads record T*M x one execution" `Quick
+      test_threads_record_exact_multiples;
   ]
